@@ -39,11 +39,10 @@ func TestInitLockValidation(t *testing.T) {
 // through its own handle (so the freeStart/freeDone epoch validation is
 // under fire from every Free), stable keys carrying plain counters whose
 // mutual exclusion the race detector and a final tally both check, and a
-// per-worker churn range that is freed and re-created continuously. The
-// telemetry registry runs with a small MaxLocks so the idle-fold sweeps
-// race the churn too.
+// per-worker churn range that is freed and re-created continuously, each
+// Free retiring the key's telemetry stats.
 func TestHighCardinalityChurn(t *testing.T) {
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 16, MaxLocks: 24})
+	reg := telemetry.New(telemetry.Options{SamplePeriod: 16})
 	s := newTestService(t, Options{Telemetry: reg})
 
 	const stableKeys = 16
@@ -104,6 +103,9 @@ func TestHighCardinalityChurn(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Retired.Locks == 0 {
 		t.Fatal("churn retired no telemetry registrations")
+	}
+	if live, locks := reg.Len(), s.Locks(); live != locks {
+		t.Fatalf("registry holds %d stats for %d live locks at quiescence", live, locks)
 	}
 	// The service itself must still work end to end.
 	s.Lock(1)

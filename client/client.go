@@ -273,7 +273,7 @@ func (c *Conn) LastToken(key uint64) uint64 {
 	return c.tokens[key]
 }
 
-func fmtKey(k uint64) string    { return "0x" + strconv.FormatUint(k, 16) }
+func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
 func fmtMillis(d time.Duration) string {
 	return strconv.FormatInt(d.Milliseconds(), 10)
 }
@@ -546,8 +546,12 @@ func (c *Conn) Renew(key uint64, ttl time.Duration) (uint64, error) {
 	return tok, nil
 }
 
-// Token asks the server for key's current (latest-minted) fencing token —
-// any session's, not just this one's.
+// Token asks the server for a fencing bound on key — any session's grants,
+// not just this one's: no later grant of key carries a token at or below
+// the returned value. While key is live on the server (held, awaited or
+// mid-acquisition) that is exactly its latest-minted token; once the
+// server has reclaimed the key it is the floor of the key's table stripe,
+// which may exceed the key's own last token.
 func (c *Conn) Token(key uint64) (uint64, error) {
 	fields, err := c.roundTrip("token", fmtKey(key))
 	if err != nil {

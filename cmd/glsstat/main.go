@@ -17,7 +17,7 @@
 // The live view (-top) refreshes every -interval, sorts locks by interval
 // contention, renders rate columns (acquisitions/s, contention %, writer
 // drain), and keeps a ticker of recent events — transitions, starvation
-// escalations, abort storms, deadlocks, evictions — from the event stream
+// escalations, abort storms, deadlocks, retirements — from the event stream
 // (in-process) or from the interval diff (remote). -once renders a single
 // frame and exits, for scripts and CI.
 package main

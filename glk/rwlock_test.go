@@ -211,7 +211,11 @@ func TestRWLockWriterInflates(t *testing.T) {
 func TestRWLockDeflatesAfterIdleWrites(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	st := reg.Register(2, "glkrw")
-	l := NewRW(&RWConfig{SamplePeriod: 2, DeflatePeriods: 2, Stats: st})
+	// The multiprogramming flag is an input of the deflate decision, and
+	// sysmon.Shared's probes read the whole process's scheduling latency:
+	// pin a private probe-free monitor so a loaded test binary cannot flip
+	// this single-goroutine decision.
+	l := NewRW(&RWConfig{SamplePeriod: 2, DeflatePeriods: 2, Stats: st, Monitor: newTestMonitor()})
 	l.RLock()
 	l.RLock()
 	l.RUnlock()

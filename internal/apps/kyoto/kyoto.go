@@ -70,12 +70,17 @@ const (
 	nodeRWPool     = 32
 )
 
-// Per-operation work, in cycles. HT DB does ~10× the work of CACHE, which
-// reproduces the paper's ~10× throughput gap and the resulting difference
-// in lock traffic.
+// Per-operation work, in cycles. HT DB does ~10× the work of a whole CACHE
+// operation, which reproduces the paper's ~10× throughput gap and the
+// resulting difference in lock traffic. A CACHE operation costs far more
+// than its own work constant: it takes the global and bucket locks plus up
+// to maxNesting record locks, and on multiple cores those nested locks
+// contend, so a contended CACHE op runs ~1.5 µs. HT DB's 10 µs of work
+// (at the nominal 2.5 GHz) gives about 8× on a 2-core box, where 10×
+// CACHE's work constant alone (2500 cycles) makes the two equally fast.
 const (
 	cacheWorkCycles = 250
-	htWorkCycles    = 2500
+	htWorkCycles    = 25000
 	treeWorkCycles  = 800
 )
 

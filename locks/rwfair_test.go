@@ -23,7 +23,7 @@ const (
 // fairVariants are the RW locks that promise a bounded reader wait under a
 // continuous writer stream, with the bound (in writer phases) each promises.
 // RWPhaseFair admits a blocked reader at the next phase boundary; a
-// bounded-bypass RWStriped admits it after at most MaxBypass waiting rounds
+// bounded-bypass RWStriped admits it after at most MaxBypass writer phases
 // plus the writer queue it joins. The slack on top covers the measurement
 // window (the phase counter is read before the reader's arrival lands) and
 // scheduling noise — the property under test is "tens, not thousands".

@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -46,19 +47,19 @@ const rwInflateReaders = 2
 // unbounded number of writer phases (lockstress -bug readerstarvation
 // demonstrates it). The MaxBypass knob closes that hole without touching
 // the steady-state read path or the 1-line idle footprint: a reader that
-// has waited out MaxBypass bounded rounds — each a capped spin burst
-// (rwBypassSpins), sized to ride out a normal writer phase — stops waiting
-// for a gap and instead takes a ticket in the writer queue (wmu), which is
-// FIFO: it is admitted behind at most the writers already queued, holds
-// the ticket just long enough to register its read share, and releases it.
-// The unit of the bound is deliberately waiting *rounds*, not writer
-// phases: rounds advance even against a single writer that holds without
-// handing off, so escalation is guaranteed on time at the lock, while the
-// number of actual phases one round spans depends on how fast the stream
-// hands off (the phase-exact measure lives in glk.RWLock's
-// handoff-counted starvation signal). MaxBypass zero (the default, and
-// the pre-glsfair behavior) leaves the bypass unbounded; write-heavy
-// workloads wanting a phase bound by construction should use
+// has been bypassed by MaxBypass writer phases — counted off the writer
+// ticket's owner word (TicketCore.Handoffs), which the reader polls on the
+// line it already watches — stops waiting for a gap and instead takes a
+// ticket in the writer queue (wmu), which is FIFO: it is admitted behind
+// at most the writers already queued, holds the ticket just long enough to
+// register its read share, and releases it. Every wmu release advances the
+// count, so another reader's escalation counts as a phase too; that only
+// escalates earlier. A writer that holds without handing off bypasses
+// nobody; a backstop of MaxBypass short waiting rounds escalates against
+// such a writer as well (glk.RWLock's starvation signal has the same
+// pair). MaxBypass zero
+// (the default, and the pre-glsfair behavior) leaves the bypass unbounded;
+// write-heavy workloads wanting a phase bound by construction should use
 // RWPhaseFairAlgo instead (DESIGN.md §10 has the decision table).
 type RWStriped struct {
 	readers   stripe.Counter // lazily-striped count of present readers
@@ -76,9 +77,9 @@ var _ RWLock = (*RWStriped)(nil)
 func NewRWStriped() *RWStriped { return new(RWStriped) }
 
 // NewRWStripedBounded returns an unlocked striped reader-writer lock whose
-// readers escalate into the writer ticket queue after maxBypass bounded
-// waiting rounds (see the type comment for the unit) — the bounded-bypass
-// variant. DefaultMaxBypass is the recommended bound.
+// readers escalate into the writer ticket queue after maxBypass writer
+// phases have bypassed them — the bounded-bypass variant. DefaultMaxBypass
+// is the recommended bound.
 func NewRWStripedBounded(maxBypass uint32) *RWStriped {
 	l := new(RWStriped)
 	l.maxBypass = maxBypass
@@ -86,15 +87,15 @@ func NewRWStripedBounded(maxBypass uint32) *RWStriped {
 }
 
 // DefaultMaxBypass is the recommended bounded-bypass setting: small enough
-// that a reader under a writer stream waits tens, not thousands, of rounds,
+// that a reader under a writer stream waits tens, not thousands, of phases,
 // large enough that a couple of back-to-back writers never force the
 // escalation path (which serializes the escalating reader behind the writer
 // ticket).
 const DefaultMaxBypass = 16
 
-// SetMaxBypass sets the bounded-bypass knob: after maxBypass bounded
-// waiting rounds against writers, an arriving reader queues behind the
-// next writer's ticket instead of waiting for a flag gap. Zero restores
+// SetMaxBypass sets the bounded-bypass knob: after maxBypass writer phases
+// have bypassed it, a waiting reader queues behind the next writer's
+// ticket instead of waiting for a flag gap. Zero restores
 // the unbounded default. Call it before the lock is shared (the field is
 // read without synchronization on the reader slow path).
 func (l *RWStriped) SetMaxBypass(maxBypass uint32) { l.maxBypass = maxBypass }
@@ -110,7 +111,8 @@ func (l *RWStriped) Bypasses() uint64 { return l.bypasses.Load() }
 func (l *RWStriped) RLock() {
 	tok := stripe.Self()
 	var s backoff.Spinner
-	bypassed := uint32(0)
+	var since uint32 // writer-ticket handoffs at our first backout
+	polls := -1      // bounded-bypass wait polls; -1 until the first backout
 	for {
 		n := l.readers.AddGet(tok, 1)
 		if l.writer.Load() == 0 {
@@ -126,32 +128,53 @@ func (l *RWStriped) RLock() {
 		// A writer holds or is draining: back our count out so the drain can
 		// finish, then wait for the flag to drop off the shared line.
 		l.readers.Add(tok, -1)
-		if max := l.maxBypass; max != 0 {
-			bypassed++
-			if bypassed >= max {
-				l.rlockQueued(tok)
-				return
-			}
-			// Bounded waiting round: a gapless writer stream may never show
-			// this reader a down flag, so cap the spin and come back to
-			// count the round — the escalation must fire on time elapsed at
-			// the lock, not on gaps the stream happens to leak.
-			for i := 0; l.writer.Load() != 0 && i < rwBypassSpins; i++ {
+		if l.maxBypass == 0 {
+			for l.writer.Load() != 0 {
 				s.Spin()
 			}
 			continue
 		}
-		for l.writer.Load() != 0 {
-			s.Spin()
+		if polls < 0 {
+			since, polls = l.wmu.Handoffs(), 0
+		}
+		if l.waitBounded(since, &polls) {
+			l.rlockQueued(tok)
+			return
 		}
 	}
 }
 
-// rwBypassSpins caps one bounded-bypass waiting round: enough spins (each
-// escalating through backoff.Spinner's pause→yield policy) to ride out a
-// normal writer phase, few enough that MaxBypass rounds pass quickly when
-// the stream is gapless.
-const rwBypassSpins = 64
+// Bounded-bypass wait pacing: a waiting reader polls the shared line
+// between one-unit pauses and yields every rwBypassYieldEvery polls, so it
+// re-reads the phase count at least once per scheduling turn — a long
+// backoff pause would let a fast writer stream run far past the bound
+// between two reads. rwBypassPolls polls make one waiting round of the
+// backstop.
+const (
+	rwBypassYieldEvery = 8
+	rwBypassPolls      = 64
+)
+
+// waitBounded waits for the writer flag to drop and reports whether the
+// reader must escalate instead: MaxBypass writer phases have completed
+// since it first backed out (the wmu owner word, wraparound-exact), or —
+// the backstop for one writer that holds without handing off, which
+// bypasses nobody — it has waited MaxBypass rounds.
+func (l *RWStriped) waitBounded(since uint32, polls *int) bool {
+	bound := l.maxBypass
+	for l.writer.Load() != 0 {
+		if l.wmu.Handoffs()-since >= bound || *polls >= int(bound)*rwBypassPolls {
+			return true
+		}
+		*polls++
+		if *polls%rwBypassYieldEvery == 0 {
+			runtime.Gosched()
+		} else {
+			backoff.Pause(1)
+		}
+	}
+	return false
+}
 
 // rlockQueued is the bounded-bypass escalation: take a writer ticket (FIFO
 // — at most the writers already queued go first), register the read share

@@ -1,6 +1,10 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"gls"
+)
 
 // Fencing tokens and key lifecycle accounting.
 //
@@ -15,42 +19,52 @@ import "sync"
 // count is what makes it safe for the server to call Service.Free at all —
 // gls.Free of a key with queued waiters silently orphans them onto the old
 // lock object, outside mutual exclusion with the key's next incarnation
-// (see the Free contract in service.go). The server therefore frees only
-// under the key's stripe mutex with the count at zero, and every path that
-// is about to touch the service for a key takes a ref under that same
-// stripe mutex first, so a Free can never interleave with a resolution.
+// (see the Free contract in service.go). Every path that is about to touch
+// the service for a key takes a ref under the key's stripe mutex first, so
+// a Free can never interleave with a resolution.
 //
-// Tokens survive a Free: the keyInfo stays in the table with refs == 0, so
-// a key freed and re-created keeps minting strictly increasing tokens.
-// That persistence is the monotonicity guarantee, and it is why the table
-// is the server's, not the service's — the lock object's lifetime is
-// shorter than the token sequence's.
+// Lifecycle. A key's record exists exactly while its count is non-zero.
+// The unref that brings the count to zero is the single point where the
+// key's state dies: under the stripe mutex it folds the key's last token
+// into the stripe's floor, frees the lock object (which also retires the
+// key's telemetry stats) and deletes the record. The table therefore holds
+// only live keys, and server memory is bounded by them, not by every key
+// ever touched.
+//
+// Monotonicity survives the delete through the floor: each stripe keeps
+// the highest token any of its dead keys ever carried, and a missing
+// record is born with token = floor. A reincarnated key therefore mints
+// above anything its stripe ever issued — in particular above its own
+// previous incarnation. The floor is shared by the stripe's keys, so a
+// revisited key's sequence may jump, but it never repeats or goes back.
 
 // keyStripes is the stripe count of the key table. Power of two; sized so
 // stripe mutexes are uncontended at benchmark connection counts.
 const keyStripes = 64
 
-// keyInfo is one key's server-side lifecycle record.
+// keyInfo is one live key's server-side lifecycle record.
 type keyInfo struct {
-	token uint64 // last minted fencing token (0 = never granted)
+	token uint64 // last minted fencing token (the stripe floor at birth)
 	refs  int32  // in-flight acquisitions + registered grants
 }
 
 // keyStripe is one lock-striped partition of the key table.
 type keyStripe struct {
-	mu sync.Mutex
-	m  map[uint64]*keyInfo
+	mu    sync.Mutex
+	m     map[uint64]keyInfo
+	floor uint64 // highest token of any key deleted from this stripe
 }
 
-// keyTable is the striped key→(token, refs) map.
+// keyTable is the striped key→(token, refs) map of live keys.
 type keyTable struct {
+	svc     *gls.Service
 	stripes [keyStripes]keyStripe
 }
 
-func newKeyTable() *keyTable {
-	t := &keyTable{}
+func newKeyTable(svc *gls.Service) *keyTable {
+	t := &keyTable{svc: svc}
 	for i := range t.stripes {
-		t.stripes[i].m = make(map[uint64]*keyInfo)
+		t.stripes[i].m = make(map[uint64]keyInfo)
 	}
 	return t
 }
@@ -62,36 +76,43 @@ func (t *keyTable) stripe(key uint64) *keyStripe {
 	return &t.stripes[(key^key>>32)%keyStripes]
 }
 
+// lookup returns key's record, or a fresh one born at the stripe floor.
+// Caller holds s.mu.
+func (s *keyStripe) lookup(key uint64) keyInfo {
+	if ki, ok := s.m[key]; ok {
+		return ki
+	}
+	return keyInfo{token: s.floor}
+}
+
 // ref records an acquisition attempt (or grant hand-over) for key.
 func (t *keyTable) ref(key uint64) {
 	s := t.stripe(key)
 	s.mu.Lock()
-	ki := s.m[key]
-	if ki == nil {
-		ki = &keyInfo{}
-		s.m[key] = ki
-	}
+	ki := s.lookup(key)
 	ki.refs++
+	s.m[key] = ki
 	s.mu.Unlock()
 }
 
-// unref drops one reference. When the count reaches zero it calls free —
-// still holding the stripe mutex, so no new acquisition of key can begin
-// until the free completes. free is nil when the server keeps lock objects
-// mapped forever (Options.KeepIdleLocks).
-func (t *keyTable) unref(key uint64, free func(uint64)) {
+// unref drops one reference. When the count reaches zero it retires the
+// key — floor update, Service.Free, record delete — still holding the
+// stripe mutex, so no new acquisition of key can begin until it completes.
+func (t *keyTable) unref(key uint64) {
 	s := t.stripe(key)
 	s.mu.Lock()
-	ki := s.m[key]
-	if ki == nil || ki.refs <= 0 {
+	ki, ok := s.m[key]
+	if !ok || ki.refs <= 0 {
 		s.mu.Unlock()
 		panic("glsd: key refcount underflow")
 	}
 	ki.refs--
-	if ki.refs == 0 && free != nil {
-		// The token stays: ki is retained so the key's next incarnation
-		// continues the sequence.
-		free(key)
+	if ki.refs == 0 {
+		s.floor = max(s.floor, ki.token)
+		t.svc.Free(key)
+		delete(s.m, key)
+	} else {
+		s.m[key] = ki
 	}
 	s.mu.Unlock()
 }
@@ -102,26 +123,21 @@ func (t *keyTable) unref(key uint64, free func(uint64)) {
 func (t *keyTable) mint(key uint64) uint64 {
 	s := t.stripe(key)
 	s.mu.Lock()
-	ki := s.m[key]
-	if ki == nil {
-		// A grant implies an earlier ref; tolerate direct use in tests.
-		ki = &keyInfo{}
-		s.m[key] = ki
-	}
+	ki := s.lookup(key) // live: a grant implies an earlier ref
 	ki.token++
-	tok := ki.token
+	s.m[key] = ki
 	s.mu.Unlock()
-	return tok
+	return ki.token
 }
 
-// current reports key's last minted token (0 = never granted).
+// current reports a bound on key's tokens: no later grant of key carries a
+// token ≤ the returned value. For a live key it is exactly the last minted
+// token; for an absent key it is the stripe floor (0 = the stripe never
+// retired a granted key).
 func (t *keyTable) current(key uint64) uint64 {
 	s := t.stripe(key)
 	s.mu.Lock()
-	var tok uint64
-	if ki := s.m[key]; ki != nil {
-		tok = ki.token
-	}
+	tok := s.lookup(key).token
 	s.mu.Unlock()
 	return tok
 }

@@ -79,13 +79,6 @@ type Options struct {
 	// grant responses carry every (key, token) pair on one line.
 	MaxBatchKeys int
 
-	// KeepIdleLocks disables the server's idle-key reaping. By default the
-	// server frees a key's lock object once no session holds it, no waiter
-	// wants it and no request is touching it — under the key-table stripe
-	// mutex, so the Free can never orphan a queued waiter (see the
-	// Service.Free contract). Fencing tokens survive the Free either way.
-	KeepIdleLocks bool
-
 	// Logf receives server lifecycle and error lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -215,10 +208,11 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	svc := gls.New(opts.Service)
 	s := &Server{
 		opts:      opts,
-		svc:       gls.New(opts.Service),
-		keys:      newKeyTable(),
+		svc:       svc,
+		keys:      newKeyTable(svc),
 		leases:    newLeaseQueue(),
 		sessions:  newSessionSet(),
 		acq:       make(chan *acquireReq, opts.QueueDepth),
@@ -399,24 +393,12 @@ func (s *Server) clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
-// freeFn returns the idle-key reaper the key table calls at refcount zero,
-// or nil with KeepIdleLocks. It runs under the key's stripe mutex: no
-// acquisition of the key can begin mid-Free, which is exactly the
-// discipline Service.Free requires (a Free with queued waiters would orphan
-// them; see service.go).
-func (s *Server) freeFn() func(uint64) {
-	if s.opts.KeepIdleLocks {
-		return nil
-	}
-	return s.svc.Free
-}
-
 // releaseGrant returns g's lock to the service and retires the grant's key
 // reference. The caller must have removed g from the session's held map
 // (the single-remover rule); the counter it bumps is the caller's.
 func (s *Server) releaseGrant(g *grant) {
 	s.svc.Unlock(g.key)
-	s.keys.unref(g.key, s.freeFn())
+	s.keys.unref(g.key)
 	s.held.Add(-1)
 }
 
@@ -496,7 +478,7 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 	ttl := s.clampTTL(cmd.TTL)
 	s.keys.ref(cmd.Key)
 	if !s.svc.TryLock(cmd.Key) {
-		s.keys.unref(cmd.Key, s.freeFn())
+		s.keys.unref(cmd.Key)
 		ss.writeLine("BUSY", fmtKey(cmd.Key))
 		return
 	}
@@ -505,7 +487,7 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 		// The session died under us (Close racing the reader); give the
 		// lock straight back.
 		s.svc.Unlock(cmd.Key)
-		s.keys.unref(cmd.Key, s.freeFn())
+		s.keys.unref(cmd.Key)
 		return
 	}
 	s.grants.Add(1)
@@ -628,7 +610,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.mu.Unlock()
 		cancelTimeout()
 		for _, k := range keys {
-			s.keys.unref(k, s.freeFn())
+			s.keys.unref(k)
 		}
 		s.overloads.Add(1)
 		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
@@ -669,7 +651,7 @@ func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 	}
 	if !s.svc.TryLockMany(keys...) {
 		for _, k := range keys {
-			s.keys.unref(k, s.freeFn())
+			s.keys.unref(k)
 		}
 		ss.writeLine("BUSY", "many")
 		return
@@ -696,7 +678,7 @@ func (s *Server) registerMany(ss *session, keys []uint64, ttl time.Duration) map
 			// the teardown clamp. Release the rest ourselves.
 			for _, rest := range keys[i:] {
 				s.svc.Unlock(rest)
-				s.keys.unref(rest, s.freeFn())
+				s.keys.unref(rest)
 			}
 			return nil
 		}
@@ -778,7 +760,7 @@ func (s *Server) runWait(req *acquireReq) {
 	err := s.svc.LockCtx(req.ctx, key)
 	s.finishWait(ss, w)
 	if err != nil {
-		s.keys.unref(key, s.freeFn())
+		s.keys.unref(key)
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.timeouts.Add(1)
 			ss.writeLine("TIMEOUT", idStr)
@@ -793,7 +775,7 @@ func (s *Server) runWait(req *acquireReq) {
 		// Granted after the session died (grant beat the teardown's
 		// cancel): give it straight back.
 		s.svc.Unlock(key)
-		s.keys.unref(key, s.freeFn())
+		s.keys.unref(key)
 		s.cancels.Add(1)
 		return
 	}
@@ -820,7 +802,7 @@ func (s *Server) runLockMany(req *acquireReq) {
 		// assembled; the locks were still taken — release them.
 		for _, k := range w.keys {
 			s.svc.Unlock(k)
-			s.keys.unref(k, s.freeFn())
+			s.keys.unref(k)
 		}
 		s.cancels.Add(1)
 		ss.writeLine("CANCELLED", idStr)

@@ -130,7 +130,7 @@ func (s *Snapshot) WritePromText(w io.Writer) error {
 	// order, then the latency histograms.
 	p.printf("# HELP gls_locks Live locks in the registry snapshot.\n# TYPE gls_locks gauge\ngls_locks %d\n", len(s.Locks))
 	p.printf("# HELP gls_sample_period Timed-sampling period in arrivals.\n# TYPE gls_sample_period gauge\ngls_sample_period %d\n", s.SamplePeriod)
-	p.printf("# HELP gls_retired_locks_total Locks unregistered or idle-folded.\n# TYPE gls_retired_locks_total counter\ngls_retired_locks_total %d\n", s.Retired.Locks)
+	p.printf("# HELP gls_retired_locks_total Locks unregistered (freed).\n# TYPE gls_retired_locks_total counter\ngls_retired_locks_total %d\n", s.Retired.Locks)
 	p.printf("# HELP gls_retired_acquisitions_total Acquisitions folded from retired locks.\n# TYPE gls_retired_acquisitions_total counter\ngls_retired_acquisitions_total %d\n", s.Retired.Acquisitions+s.Retired.RAcquisitions)
 
 	// Per-shard roll-up, present only for sharded services: the labels are
@@ -141,8 +141,7 @@ func (s *Snapshot) WritePromText(w io.Writer) error {
 		famShHeld := fam{"gls_shard_held", "gauge", "Shard locks with at least one goroutine present."}
 		famShAcq := fam{"gls_shard_acquisitions_total", "counter", "Acquisitions (both sides, retired included) in the shard."}
 		famShCont := fam{"gls_shard_contended_total", "counter", "Contended acquisitions (both sides, retired included) in the shard."}
-		famShRet := fam{"gls_shard_retired_locks_total", "counter", "Locks freed or idle-folded out of the shard."}
-		famShEvict := fam{"gls_shard_evicted_locks_total", "counter", "Idle-evicted subset of the shard's retired locks."}
+		famShRet := fam{"gls_shard_retired_locks_total", "counter", "Locks freed out of the shard."}
 		for i := range s.Shards {
 			sh := &s.Shards[i]
 			lbl := fmt.Sprintf(`shard="%d"`, sh.Shard)
@@ -151,7 +150,6 @@ func (s *Snapshot) WritePromText(w io.Writer) error {
 			add(famShAcq, lbl, promUint(sh.Acquisitions))
 			add(famShCont, lbl, promUint(sh.Contended))
 			add(famShRet, lbl, promUint(sh.Retired))
-			add(famShEvict, lbl, promUint(sh.Evicted))
 		}
 	}
 	for _, f := range order {

@@ -118,59 +118,6 @@ func TestShardPromFamilies(t *testing.T) {
 	}
 }
 
-// TestShardedAutoSweepScansOneShard checks the amortized MaxLocks sweep: on
-// a sharded registry the over-cap trigger folds idle locks one shard at a
-// time instead of walking the whole population, and successive triggers
-// rotate so every shard is eventually swept. Manual FoldIdle keeps the
-// full scan.
-func TestShardedAutoSweepScansOneShard(t *testing.T) {
-	r := New(Options{SamplePeriod: 1, MaxLocks: 8})
-	// 4 shards × 4 locks; all idle after their burst.
-	for shard := 0; shard < 4; shard++ {
-		for i := 0; i < 4; i++ {
-			touch(r.RegisterSharded(uint64(shard*100+i+1), "glk", shard))
-		}
-	}
-	// The registrations past the cap triggered per-shard sweeps (first
-	// scan of each shard only arms the detector). The registry must have
-	// folded SOMETHING by now but a single trigger must not have emptied
-	// every shard at once: with 16 locks and per-shard sweeps of 4, the
-	// live set shrinks in shard-sized steps.
-	if r.Len() == 0 {
-		t.Fatal("sweep folded everything, including fresh registrations")
-	}
-	// Keep triggering by cycling registrations until the sweep has visited
-	// every shard at least twice (arm + fold).
-	for round := 0; round < 32 && r.Len() > 8; round++ {
-		touch(r.RegisterSharded(uint64(1000+round), "glk", round%4))
-	}
-	if got := r.Len(); got > 12 {
-		t.Errorf("rotating sweep left %d live locks, want the idle ones folded", got)
-	}
-	snap := r.Snapshot()
-	if snap.Retired.Evicted == 0 {
-		t.Fatal("sharded auto-sweep evicted nothing")
-	}
-	// Retired counts landed in per-shard rollups, not just the global one.
-	var retired uint64
-	for _, sh := range snap.Shards {
-		retired += sh.Retired
-	}
-	if retired != snap.Retired.Locks {
-		t.Errorf("per-shard retired sum %d != global retired %d", retired, snap.Retired.Locks)
-	}
-
-	// Manual FoldIdle still sweeps the full registry in one call.
-	r2 := New(Options{SamplePeriod: 1})
-	for shard := 0; shard < 4; shard++ {
-		touch(r2.RegisterSharded(uint64(shard+1), "glk", shard))
-	}
-	r2.FoldIdle() // arm
-	if n := r2.FoldIdle(); n != 4 {
-		t.Errorf("manual FoldIdle folded %d, want all 4 across shards", n)
-	}
-}
-
 // TestDerivePointCarriesShard checks that interval rates keep the shard
 // stamp, which is what glsstat -top keys its SHARD column on.
 func TestDerivePointCarriesShard(t *testing.T) {

@@ -185,14 +185,10 @@ func (l *LockSnapshot) TransitionCount() uint64 {
 	return n
 }
 
-// RetiredSnapshot aggregates the locks unregistered before this snapshot —
-// freed by the service, or folded by the idle-eviction policy
-// (Options.MaxLocks) — so totals remain monotonic across both.
+// RetiredSnapshot aggregates the locks unregistered (freed) before this
+// snapshot, so totals remain monotonic across Free.
 type RetiredSnapshot struct {
-	Locks uint64 `json:"locks"`
-	// Evicted counts the subset of Locks folded because they went idle
-	// rather than because they were freed.
-	Evicted      uint64 `json:"evicted,omitempty"`
+	Locks        uint64 `json:"locks"`
 	Arrivals     uint64 `json:"arrivals"`
 	Acquisitions uint64 `json:"acquisitions"`
 	Contended    uint64 `json:"contended"`
@@ -233,10 +229,8 @@ type ShardSnapshot struct {
 	// stays monotonic across Free.
 	Acquisitions uint64 `json:"acquisitions"`
 	Contended    uint64 `json:"contended,omitempty"`
-	// Retired counts locks folded out of the shard (freed or evicted);
-	// Evicted is the idle-eviction subset.
+	// Retired counts locks freed out of the shard.
 	Retired uint64 `json:"retired,omitempty"`
-	Evicted uint64 `json:"evicted,omitempty"`
 }
 
 // Snapshot is a point-in-time (or, after Diff, an interval) view of a
@@ -283,7 +277,6 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		Locks:        make([]LockSnapshot, 0, len(s.Locks)),
 		Retired: RetiredSnapshot{
 			Locks:         s.Retired.Locks - prev.Retired.Locks,
-			Evicted:       s.Retired.Evicted - prev.Retired.Evicted,
 			Arrivals:      s.Retired.Arrivals - prev.Retired.Arrivals,
 			Acquisitions:  s.Retired.Acquisitions - prev.Retired.Acquisitions,
 			Contended:     s.Retired.Contended - prev.Retired.Contended,
@@ -389,7 +382,6 @@ func diffShards(cur, prev []ShardSnapshot) []ShardSnapshot {
 		c.Acquisitions = sub0(c.Acquisitions, p.Acquisitions)
 		c.Contended = sub0(c.Contended, p.Contended)
 		c.Retired = sub0(c.Retired, p.Retired)
-		c.Evicted = sub0(c.Evicted, p.Evicted)
 		out = append(out, c)
 	}
 	return out
@@ -476,8 +468,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	if s.Retired.Locks > 0 {
-		if _, err := fmt.Fprintf(w, "[glstat] retired: %d locks (%d idle-evicted), %d acquisitions (%d contended), %d transitions\n",
-			s.Retired.Locks, s.Retired.Evicted, s.Retired.Acquisitions, s.Retired.Contended, s.Retired.Transitions); err != nil {
+		if _, err := fmt.Fprintf(w, "[glstat] retired: %d locks, %d acquisitions (%d contended), %d transitions\n",
+			s.Retired.Locks, s.Retired.Acquisitions, s.Retired.Contended, s.Retired.Transitions); err != nil {
 			return err
 		}
 	}
@@ -487,8 +479,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		if sh.Acquisitions > 0 {
 			shPct = 100 * float64(sh.Contended) / float64(sh.Acquisitions)
 		}
-		if _, err := fmt.Fprintf(w, "[glstat] shard %d: locks %d (%d held)  acquisitions %d (%.1f%% contended)  retired %d (%d evicted)\n",
-			sh.Shard, sh.Locks, sh.Held, sh.Acquisitions, shPct, sh.Retired, sh.Evicted); err != nil {
+		if _, err := fmt.Fprintf(w, "[glstat] shard %d: locks %d (%d held)  acquisitions %d (%.1f%% contended)  retired %d\n",
+			sh.Shard, sh.Locks, sh.Held, sh.Acquisitions, shPct, sh.Retired); err != nil {
 			return err
 		}
 	}

@@ -122,18 +122,6 @@ type Options struct {
 	// DefaultEventBuffer. The ring is allocated on first subscribe, so the
 	// setting costs nothing until someone streams.
 	EventBuffer int
-
-	// MaxLocks soft-caps the number of live per-lock stats (0 = unlimited).
-	// A very-high-cardinality key space would otherwise hold one LockStats
-	// (several cache lines) per live key forever; with a cap, a Register
-	// that grows the registry past it folds *idle* stats — locks whose
-	// arrival count has not moved since the previous scan — into the
-	// Retired totals, exactly as Unregister does. An evicted lock keeps
-	// working (its hooks feed the now-orphaned stats object); it just stops
-	// appearing in snapshots, and its post-eviction activity goes
-	// uncounted. The cap is soft: if every lock is active, nothing is
-	// evicted and the registry grows anyway.
-	MaxLocks int
 }
 
 // Registry is a process- or service-wide collection of per-lock statistics.
@@ -142,33 +130,20 @@ type Options struct {
 //
 // All methods are safe for concurrent use. Register/Unregister take a
 // mutex, but they run at lock creation/destruction, never per operation.
+// A lock's stats live exactly as long as its registration: the owner
+// registers them when it creates the lock and unregisters them when it
+// frees it, so the registry's size tracks the live lock count.
 type Registry struct {
 	sampleMask uint64
-	maxLocks   int
 
 	mu    sync.RWMutex
 	locks map[uint64]*LockStats
 
-	// sweepAt defers the next automatic idle-fold until the registry has
-	// grown past it, so a Register storm over a cap full of *active* locks
-	// does not rescan the whole map per insertion (see Register).
-	sweepAt int
-
 	// sharded is set by the first RegisterSharded: snapshots then carry the
-	// per-shard roll-up block and the MaxLocks sweeps go shard-at-a-time. A
-	// registry fed only by Register (a single-shard service) never sets it,
-	// keeping its snapshots and reports byte-identical to the pre-shard
-	// subsystem.
+	// per-shard roll-up block. A registry fed only by Register (a
+	// single-shard service) never sets it, keeping its snapshots and
+	// reports byte-identical to the pre-shard subsystem.
 	sharded bool
-
-	// shardSets groups the live stats by shard so an automatic idle-fold
-	// can sweep one shard's set instead of the world; shardIDs lists the
-	// shards ever seen (sets are never removed, only emptied) and
-	// sweepShard is the rotating cursor over it. Register files everything
-	// under shard 0 so the bookkeeping is uniform.
-	shardSets  map[uint32]map[uint64]*LockStats
-	shardIDs   []uint32
-	sweepShard int
 
 	// retiredShards accumulates per-shard retirement counters (the shard
 	// twin of retired), keyed by shard index.
@@ -194,7 +169,6 @@ type Registry struct {
 
 type retiredTotals struct {
 	locks        uint64
-	evicted      uint64 // subset of locks folded by the idle policy, not Free
 	counters     [stripe.LaneSlots]uint64
 	rwCounters   [stripe.LaneSlots]uint64 // read-side lanes of retired RW locks
 	rwWaitPhases uint64                   // starvation/phase counters of retired RW locks
@@ -204,7 +178,7 @@ type retiredTotals struct {
 	transitions  uint64
 
 	// Latency histograms of retired locks, in the summed-bucket form (see
-	// hist.go), so percentile data survives Free and idle eviction.
+	// hist.go), so percentile data survives Free.
 	waitHist  []uint64
 	holdHist  []uint64
 	rwaitHist []uint64
@@ -212,10 +186,9 @@ type retiredTotals struct {
 
 // retiredShard is one shard's slice of the retired totals — just the
 // counters the per-shard roll-up reports (see ShardSnapshot), so interval
-// math per shard stays monotonic across Free and eviction.
+// math per shard stays monotonic across Free.
 type retiredShard struct {
 	locks        uint64
-	evicted      uint64
 	acquisitions uint64
 	contended    uint64
 }
@@ -235,9 +208,7 @@ func New(opts Options) *Registry {
 	}
 	return &Registry{
 		sampleMask:    mask - 1,
-		maxLocks:      opts.MaxLocks,
 		locks:         make(map[uint64]*LockStats),
-		shardSets:     make(map[uint32]map[uint64]*LockStats),
 		retiredShards: make(map[uint32]*retiredShard),
 		hub:           newHub(opts.EventBuffer),
 	}
@@ -269,9 +240,8 @@ func (r *Registry) Register(key uint64, kind string) *LockStats {
 }
 
 // RegisterSharded is Register for a lock living in shard of a partitioned
-// service: the stats carry the shard index, snapshots gain the per-shard
-// roll-up block, and the MaxLocks idle-fold sweeps go one shard at a time
-// (a rotating cursor) instead of scanning every live lock per trigger.
+// service: the stats carry the shard index and snapshots gain the
+// per-shard roll-up block.
 func (r *Registry) RegisterSharded(key uint64, kind string, shard int) *LockStats {
 	return r.register(key, kind, uint32(shard), true)
 }
@@ -287,65 +257,26 @@ func (r *Registry) register(key uint64, kind string, shard uint32, sharded bool)
 	}
 	r.gen++
 	st := &LockStats{statsHeader: statsHeader{key: key, kind: kind, gen: r.gen, shard: shard, sampleMask: r.sampleMask, hub: r.hub}}
-	// The sentinel guarantees one full sweep interval of grace: the first
-	// scan observes lastArrivals != arrivals and re-arms instead of folding,
-	// so a lock registered moments before a sweep cannot lose its stats
-	// before its first arrival lands.
-	st.lastArrivals = ^uint64(0)
 	if label, ok := r.pendingLabels[key]; ok {
 		st.label = label
 		delete(r.pendingLabels, key)
 	}
 	r.locks[key] = st
-	set := r.shardSets[shard]
-	if set == nil {
-		set = make(map[uint64]*LockStats)
-		r.shardSets[shard] = set
-		r.shardIDs = append(r.shardIDs, shard)
-	}
-	set[key] = st
-	// High-cardinality guard: once past the cap, periodically fold idle
-	// stats into the retired totals. The sweep is O(live locks) — or, for a
-	// sharded registry, O(one shard's locks) — so it is amortized by
-	// deferring the next one until the registry has grown by a fraction of
-	// the cap: if everything is active (nothing foldable), the cost stays
-	// one scan per maxLocks/8 registrations, not one per insert.
-	if r.maxLocks > 0 && len(r.locks) > r.maxLocks && len(r.locks) >= r.sweepAt {
-		if r.sharded {
-			r.foldIdleShardLocked(st)
-		} else {
-			r.foldIdleLocked(st)
-		}
-		step := r.maxLocks / 8
-		if step < 1 {
-			step = 1
-		}
-		r.sweepAt = len(r.locks) + step
-	}
 	return st
 }
 
 // foldLocked folds st's counters into the retired totals and removes it
 // from the live map. Caller holds r.mu.
-func (r *Registry) foldLocked(st *LockStats, evicted bool) {
+func (r *Registry) foldLocked(st *LockStats) {
 	delete(r.locks, st.key)
-	if set := r.shardSets[st.shard]; set != nil {
-		delete(set, st.key)
-	}
 	sums := st.lanes.SumAll()
 	r.retired.locks++
-	if evicted {
-		r.retired.evicted++
-	}
 	rs := r.retiredShards[st.shard]
 	if rs == nil {
 		rs = &retiredShard{}
 		r.retiredShards[st.shard] = rs
 	}
 	rs.locks++
-	if evicted {
-		rs.evicted++
-	}
 	rs.acquisitions += sub0(sums[slotArrivals], sums[slotTryFails])
 	rs.contended += sums[slotContended]
 	if rw := st.rw.Load(); rw != nil {
@@ -377,81 +308,7 @@ func (r *Registry) foldLocked(st *LockStats, evicted bool) {
 		r.retired.transitions += tr.Count
 	}
 	st.cold.Unlock()
-	kind := EventRetired
-	if evicted {
-		kind = EventEvicted
-	}
-	r.hub.Publish(Event{Kind: kind, Key: st.key, Label: label, LockKind: st.kind})
-}
-
-// foldIfIdleLocked folds st when it is idle — arrivals unchanged since the
-// previous scan and nobody currently at the lock — and otherwise re-arms it
-// for the next scan. Caller holds r.mu.
-func (r *Registry) foldIfIdleLocked(st *LockStats) bool {
-	arrivals := st.lanes.Sum(slotArrivals)
-	if arrivals != st.lastArrivals || st.presentNow() > 0 {
-		st.lastArrivals = arrivals // active: re-arm for the next scan
-		return false
-	}
-	r.foldLocked(st, true)
-	return true
-}
-
-// foldIdleLocked folds every idle lock except keep, the entry that
-// triggered the sweep. Caller holds r.mu.
-func (r *Registry) foldIdleLocked(keep *LockStats) int {
-	folded := 0
-	for _, st := range r.locks {
-		if st == keep {
-			continue
-		}
-		if r.foldIfIdleLocked(st) {
-			folded++
-		}
-	}
-	return folded
-}
-
-// foldIdleShardLocked is the sharded automatic sweep: it scans exactly one
-// shard's live set — the next non-empty one under a rotating cursor — so a
-// Register storm over a partitioned service pays O(cap/NumShards) per
-// trigger instead of rescanning the world, and successive triggers visit
-// the shards round-robin. The idle test is per lock and unchanged; a lock
-// that stays busy in an otherwise-swept shard is re-armed exactly as in the
-// full scan. Caller holds r.mu.
-func (r *Registry) foldIdleShardLocked(keep *LockStats) int {
-	for tries := 0; tries < len(r.shardIDs); tries++ {
-		id := r.shardIDs[r.sweepShard%len(r.shardIDs)]
-		r.sweepShard++
-		set := r.shardSets[id]
-		if len(set) == 0 {
-			continue
-		}
-		folded := 0
-		for _, st := range set {
-			if st == keep {
-				continue
-			}
-			if r.foldIfIdleLocked(st) {
-				folded++
-			}
-		}
-		return folded
-	}
-	return 0
-}
-
-// FoldIdle immediately folds the stats of every idle lock (see
-// Options.MaxLocks) into the Retired totals, returning how many were
-// folded. A lock is idle when its arrival count has not moved since the
-// previous FoldIdle or automatic sweep and no goroutine is currently at it;
-// a freshly registered lock therefore survives at least one scan. Manual
-// entry point for operators and tests — the MaxLocks policy calls the same
-// scan automatically.
-func (r *Registry) FoldIdle() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.foldIdleLocked(nil)
+	r.hub.Publish(Event{Kind: EventRetired, Key: st.key, Label: label, LockKind: st.kind})
 }
 
 // Unregister removes key's stats from the registry, folding its counters
@@ -464,7 +321,7 @@ func (r *Registry) Unregister(key uint64) {
 	if st == nil {
 		return
 	}
-	r.foldLocked(st, false)
+	r.foldLocked(st)
 }
 
 // Get returns the registered stats for key, or nil.
@@ -588,11 +445,6 @@ type LockStats struct {
 	label       string
 	mode        string // current GLK mode; empty for fixed-algorithm locks
 	transitions []Transition
-
-	// lastArrivals is the arrival count at the previous idle-fold scan. It
-	// belongs to the registry's sweeps and is guarded by Registry.mu, not
-	// by cold; it lives down here so the hot-path header stays one line.
-	lastArrivals uint64
 }
 
 // Key returns the lock key this stats block was registered under.
@@ -998,7 +850,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Locks:        make([]LockSnapshot, 0, len(stats)),
 		Retired: RetiredSnapshot{
 			Locks:         retired.locks,
-			Evicted:       retired.evicted,
 			Arrivals:      retired.counters[slotArrivals],
 			Contended:     retired.counters[slotContended],
 			TryFails:      retired.counters[slotTryFails],
@@ -1054,7 +905,6 @@ func shardRollup(locks []LockSnapshot, retired map[uint32]retiredShard) []ShardS
 	for id, rs := range retired {
 		sh := at(id)
 		sh.Retired += rs.locks
-		sh.Evicted += rs.evicted
 		sh.Acquisitions += rs.acquisitions
 		sh.Contended += rs.contended
 	}

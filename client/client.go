@@ -8,6 +8,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -76,10 +77,13 @@ type Conn struct {
 	// draining its reply).
 	wmu sync.Mutex
 
-	syncCh chan []string
+	// pending is set by a round trip before it writes its request and
+	// cleared by the read loop as it hands the reply to syncCh.
+	pending atomic.Bool
+	syncCh  chan reply
 
 	mu      sync.Mutex
-	waits   map[uint64]chan []string
+	waits   map[uint64]chan reply
 	tokens  map[uint64]uint64
 	expired func(key, token uint64)
 
@@ -97,25 +101,33 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{
-		nc:     nc,
-		bw:     bufio.NewWriter(nc),
-		syncCh: make(chan []string, 1),
-		waits:  make(map[uint64]chan []string),
-		tokens: make(map[uint64]uint64),
-		done:   make(chan struct{}),
-	}
-	go c.readLoop(bufio.NewReader(nc))
-	fields, err := c.roundTrip("session")
+	c, err := newConn(nc)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
-	if len(fields) != 2 || fields[0] != "SESSION" {
-		_ = nc.Close()
-		return nil, fmt.Errorf("glsd client: bad session reply %q", strings.Join(fields, " "))
+	return c, nil
+}
+
+// newConn starts the read loop on nc and opens a session over it.
+func newConn(nc net.Conn) (*Conn, error) {
+	c := &Conn{
+		nc:     nc,
+		bw:     bufio.NewWriter(nc),
+		syncCh: make(chan reply, 1),
+		waits:  make(map[uint64]chan reply),
+		tokens: make(map[uint64]uint64),
+		done:   make(chan struct{}),
 	}
-	c.session, _ = strconv.ParseUint(fields[1], 10, 64)
+	go c.readLoop(bufio.NewReader(nc))
+	r, err := c.roundTrip("session", nil)
+	if err != nil {
+		return nil, err
+	}
+	if r.verb != "SESSION" || r.n != 1 {
+		return nil, fmt.Errorf("glsd client: bad session reply %q", r)
+	}
+	c.session = r.num[0]
 	return c, nil
 }
 
@@ -137,16 +149,97 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	// Best-effort polite quit; the server tears the session down either way.
-	c.wmu.Lock()
-	_, _ = c.bw.WriteString("quit\r\n")
-	_ = c.bw.Flush()
-	c.wmu.Unlock()
+	_ = c.send("quit", nil)
 	return c.nc.Close()
+}
+
+// reply is one parsed server line. A fixed-shape reply — one of
+// fixedVerbs followed by at most len(num) numeric fields (keys, tokens,
+// ids, milliseconds) — is parsed into num without allocating. Every other
+// line (ERR, STATS, batch grants, a non-numeric field) keeps its fields
+// after the verb as strings.
+type reply struct {
+	verb   string
+	num    [4]uint64
+	n      int      // fields parsed into num
+	fields []string // the other lines only
+}
+
+// fixedVerbs are the replies parsed into reply.num.
+var fixedVerbs = [...]string{
+	"GRANTED", "RELEASED", "BUSY", "GRANT", "QUEUED", "TIMEOUT", "CANCELLED",
+	"EXPIRED", "RENEWED", "TOKEN", "RELEASEDMANY", "SESSION", "PONG", "BYE",
+}
+
+// parseReply parses one line, terminator included.
+func parseReply(line []byte) reply {
+	line = bytes.TrimRight(line, "\r\n")
+	if r, ok := parseFixed(line); ok {
+		return r
+	}
+	f := strings.Fields(string(line))
+	if len(f) == 0 {
+		return reply{}
+	}
+	return reply{verb: f[0], fields: f[1:]}
+}
+
+// parseFixed parses a fixed-shape reply: a known verb and single-space
+// separated numeric fields, decimal or 0x hex.
+func parseFixed(line []byte) (reply, bool) {
+	verb, rest, more := bytes.Cut(line, []byte{' '})
+	var r reply
+	for _, v := range fixedVerbs {
+		if string(verb) == v {
+			r.verb = v
+			break
+		}
+	}
+	if r.verb == "" {
+		return reply{}, false
+	}
+	for more {
+		if r.n == len(r.num) {
+			return reply{}, false
+		}
+		var f []byte
+		f, rest, more = bytes.Cut(rest, []byte{' '})
+		v, err := strconv.ParseUint(string(f), 0, 64)
+		if err != nil {
+			return reply{}, false
+		}
+		r.num[r.n] = v
+		r.n++
+	}
+	return r, true
+}
+
+// String renders the reply (numbers in decimal) for error messages.
+func (r reply) String() string {
+	parts := append([]string{r.verb}, r.fields...)
+	for _, v := range r.num[:r.n] {
+		parts = append(parts, strconv.FormatUint(v, 10))
+	}
+	return strings.Join(parts, " ")
+}
+
+// waitID returns an asynchronous line's wait id, its first field.
+func (r reply) waitID() (uint64, bool) {
+	if r.fields == nil {
+		return r.num[0], r.n > 0
+	}
+	if len(r.fields) == 0 {
+		return 0, false
+	}
+	id, err := strconv.ParseUint(r.fields[0], 10, 64)
+	return id, err == nil
 }
 
 // readLoop demultiplexes server lines: wait-id-bearing verbs and expiry
 // notices are asynchronous and route by id; everything else answers the
-// single outstanding synchronous request.
+// pending synchronous request. A synchronous line with no request pending
+// means the stream is out of step, and the connection is abandoned at
+// once.
 func (c *Conn) readLoop(br *bufio.Reader) {
 	defer func() {
 		c.mu.Lock()
@@ -158,22 +251,25 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 		close(c.done)
 	}()
 	for {
-		line, err := br.ReadString('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			// Longer than the read buffer (a long ERR detail): copy it out
+			// before reading the rest.
+			var tail []byte
+			long := append([]byte(nil), line...)
+			tail, err = br.ReadBytes('\n')
+			line = append(long, tail...)
+		}
 		if err != nil {
 			c.readErr = err
 			return
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
+		r := parseReply(line)
+		switch r.verb {
+		case "": // blank line
 		case "GRANT", "GRANTMANY", "TIMEOUT", "CANCELLED":
-			if len(fields) < 2 {
-				continue
-			}
-			id, perr := strconv.ParseUint(fields[1], 10, 64)
-			if perr != nil {
+			id, ok := r.waitID()
+			if !ok {
 				continue
 			}
 			c.mu.Lock()
@@ -181,80 +277,74 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			delete(c.waits, id)
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- fields
+				ch <- r
 			}
 		case "EXPIRED":
-			if len(fields) != 3 {
-				continue
-			}
-			key, e1 := strconv.ParseUint(fields[1], 0, 64)
-			tok, e2 := strconv.ParseUint(fields[2], 10, 64)
 			c.mu.Lock()
 			fn := c.expired
 			c.mu.Unlock()
-			if fn != nil && e1 == nil && e2 == nil {
-				fn(key, tok)
+			if fn != nil && r.n == 2 {
+				fn(r.num[0], r.num[1])
 			}
 		default:
-			select {
-			case c.syncCh <- fields:
-			case <-time.After(5 * time.Second):
-				// A sync line with no round trip pending means the stream
-				// is out of step; abandon the connection.
-				c.readErr = fmt.Errorf("glsd client: unsolicited reply %q", strings.Join(fields, " "))
+			if !c.pending.CompareAndSwap(true, false) {
+				c.readErr = fmt.Errorf("glsd client: unsolicited reply %q", r)
 				return
 			}
+			c.syncCh <- r
 		}
 	}
 }
 
-// writeLine sends one request line.
-func (c *Conn) writeLine(parts ...string) error {
+// send writes one request line — verb, then whatever args appends —
+// built in place in the free space of the connection's writer.
+func (c *Conn) send(verb string, args func([]byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	for i, p := range parts {
-		if i > 0 {
-			if err := c.bw.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := c.bw.WriteString(p); err != nil {
-			return err
-		}
+	b := append(c.bw.AvailableBuffer(), verb...)
+	if args != nil {
+		b = args(b)
 	}
-	if _, err := c.bw.WriteString("\r\n"); err != nil {
+	if _, err := c.bw.Write(append(b, "\r\n"...)); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
-// roundTrip sends one synchronous request and returns its reply fields.
-func (c *Conn) roundTrip(parts ...string) ([]string, error) {
+// roundTrip sends one synchronous request and returns its reply.
+func (c *Conn) roundTrip(verb string, args func([]byte) []byte) (reply, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
-	if err := c.writeLine(parts...); err != nil {
-		return nil, errors.Join(ErrClosed, err)
+	select {
+	case <-c.done:
+		return reply{}, c.closedErr()
+	default:
+	}
+	c.pending.Store(true)
+	if err := c.send(verb, args); err != nil {
+		return reply{}, errors.Join(ErrClosed, err)
 	}
 	select {
-	case fields := <-c.syncCh:
-		if fields[0] == "ERR" {
-			detail := ""
-			if len(fields) > 2 {
-				detail = strings.Join(fields[2:], " ")
+	case r := <-c.syncCh:
+		if r.verb == "ERR" {
+			code, detail := "", ""
+			if len(r.fields) > 0 {
+				code, detail = r.fields[0], strings.Join(r.fields[1:], " ")
 			}
-			code := ""
-			if len(fields) > 1 {
-				code = fields[1]
-			}
-			return nil, errForCode(code, detail)
+			return reply{}, errForCode(code, detail)
 		}
-		return fields, nil
+		return r, nil
 	case <-c.done:
-		if c.readErr != nil {
-			return nil, errors.Join(ErrClosed, c.readErr)
-		}
-		return nil, ErrClosed
+		return reply{}, c.closedErr()
 	}
+}
+
+// closedErr is the error of a call on a connection whose read loop ended.
+func (c *Conn) closedErr() error {
+	if c.readErr != nil {
+		return errors.Join(ErrClosed, c.readErr)
+	}
+	return ErrClosed
 }
 
 // noteToken records a grant in the session's key→token map.
@@ -273,38 +363,55 @@ func (c *Conn) LastToken(key uint64) uint64 {
 	return c.tokens[key]
 }
 
-func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
-func fmtMillis(d time.Duration) string {
-	return strconv.FormatInt(d.Milliseconds(), 10)
+// appendKey appends a space and a key in hex, like the server renders it.
+func appendKey(b []byte, k uint64) []byte {
+	return strconv.AppendUint(append(b, " 0x"...), k, 16)
+}
+
+// appendKeys appends each key with appendKey.
+func appendKeys(b []byte, keys []uint64) []byte {
+	for _, k := range keys {
+		b = appendKey(b, k)
+	}
+	return b
+}
+
+// appendUint appends a space and v in decimal.
+func appendUint(b []byte, v uint64) []byte {
+	return strconv.AppendUint(append(b, ' '), v, 10)
+}
+
+// appendMillis appends a space and d in whole milliseconds.
+func appendMillis(b []byte, d time.Duration) []byte {
+	return strconv.AppendInt(append(b, ' '), d.Milliseconds(), 10)
 }
 
 // TryLock attempts key without waiting. On success it returns the grant's
 // fencing token; a held key returns ErrBusy. ttl <= 0 uses the server
 // default.
 func (c *Conn) TryLock(key uint64, ttl time.Duration) (uint64, error) {
-	req := []string{"trylock", fmtKey(key)}
-	if ttl > 0 {
-		req = append(req, fmtMillis(ttl))
-	}
-	fields, err := c.roundTrip(req...)
+	r, err := c.roundTrip("trylock", func(b []byte) []byte {
+		b = appendKey(b, key)
+		if ttl > 0 {
+			b = appendMillis(b, ttl)
+		}
+		return b
+	})
 	if err != nil {
 		return 0, err
 	}
-	switch fields[0] {
+	switch r.verb {
 	case "BUSY":
 		return 0, ErrBusy
 	case "GRANTED":
-		if len(fields) != 4 {
-			return 0, fmt.Errorf("glsd client: bad GRANTED reply")
+		// GRANTED <key> <token> <ttl>
+		if r.n != 3 {
+			return 0, fmt.Errorf("glsd client: bad GRANTED reply %q", r)
 		}
-		tok, perr := strconv.ParseUint(fields[2], 10, 64)
-		if perr != nil {
-			return 0, fmt.Errorf("glsd client: bad token in GRANTED reply")
-		}
-		c.noteToken(key, tok)
-		return tok, nil
+		c.noteToken(key, r.num[1])
+		return r.num[1], nil
 	}
-	return 0, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
 }
 
 // Lock acquires key, waiting in the server's queue. It returns the grant's
@@ -313,20 +420,16 @@ func (c *Conn) TryLock(key uint64, ttl time.Duration) (uint64, error) {
 // the grant wins the race anyway, the lock is released and ctx.Err()
 // returned.
 func (c *Conn) Lock(ctx context.Context, key uint64, ttl, timeout time.Duration) (uint64, error) {
-	fields, err := c.wait(ctx, []uint64{key}, ttl, timeout, false)
+	r, err := c.wait(ctx, []uint64{key}, ttl, timeout, false)
 	if err != nil {
 		return 0, err
 	}
 	// GRANT <id> <key> <token> <ttl>
-	if len(fields) != 5 {
-		return 0, fmt.Errorf("glsd client: bad GRANT reply")
+	if r.n != 4 {
+		return 0, fmt.Errorf("glsd client: bad GRANT reply %q", r)
 	}
-	tok, perr := strconv.ParseUint(fields[3], 10, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("glsd client: bad token in GRANT reply")
-	}
-	c.noteToken(key, tok)
-	return tok, nil
+	c.noteToken(key, r.num[2])
+	return r.num[2], nil
 }
 
 // LockMany acquires every key of the batch, waiting in the server's
@@ -336,12 +439,12 @@ func (c *Conn) LockMany(ctx context.Context, ttl time.Duration, keys ...uint64) 
 	if len(keys) == 0 {
 		return map[uint64]uint64{}, nil
 	}
-	fields, err := c.wait(ctx, keys, ttl, 0, true)
+	r, err := c.wait(ctx, keys, ttl, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	// GRANTMANY <id> <ttl> <key> <token>...
-	tokens, perr := parseTokenPairs(fields[3:])
+	tokens, perr := grantPairs(r, 2)
 	if perr != nil {
 		return nil, perr
 	}
@@ -352,79 +455,79 @@ func (c *Conn) LockMany(ctx context.Context, ttl time.Duration, keys ...uint64) 
 }
 
 // wait runs one asynchronous acquisition to its terminal reply.
-func (c *Conn) wait(ctx context.Context, keys []uint64, ttl, timeout time.Duration, many bool) ([]string, error) {
+func (c *Conn) wait(ctx context.Context, keys []uint64, ttl, timeout time.Duration, many bool) (reply, error) {
 	id := c.nextWait.Add(1)
-	ch := make(chan []string, 1)
+	ch := make(chan reply, 1)
 	c.mu.Lock()
 	c.waits[id] = ch
 	c.mu.Unlock()
 
-	var req []string
+	var err error
 	if many {
-		req = []string{"lockmany", strconv.FormatUint(id, 10), fmtMillis(clampTTL(ttl))}
-		for _, k := range keys {
-			req = append(req, fmtKey(k))
-		}
+		_, err = c.roundTrip("lockmany", func(b []byte) []byte {
+			return appendKeys(appendMillis(appendUint(b, id), clampTTL(ttl)), keys)
+		})
 	} else {
-		req = []string{"wait", strconv.FormatUint(id, 10), fmtKey(keys[0]), fmtMillis(clampTTL(ttl))}
-		if timeout > 0 {
-			req = append(req, fmtMillis(timeout))
-		}
+		_, err = c.roundTrip("wait", func(b []byte) []byte {
+			b = appendMillis(appendKey(appendUint(b, id), keys[0]), clampTTL(ttl))
+			if timeout > 0 {
+				b = appendMillis(b, timeout)
+			}
+			return b
+		})
 	}
-	if _, err := c.roundTrip(req...); err != nil {
+	if err != nil {
 		c.mu.Lock()
 		delete(c.waits, id)
 		c.mu.Unlock()
-		return nil, err
+		return reply{}, err
 	}
 
 	cancelled := false
 	ctxDone := ctx.Done()
 	for {
 		select {
-		case fields, ok := <-ch:
+		case r, ok := <-ch:
 			if !ok {
-				return nil, ErrClosed
+				return reply{}, ErrClosed
 			}
-			switch fields[0] {
+			switch r.verb {
 			case "TIMEOUT":
-				return nil, ErrTimeout
+				return reply{}, ErrTimeout
 			case "CANCELLED":
 				if cancelled {
-					return nil, ctx.Err()
+					return reply{}, ctx.Err()
 				}
-				return nil, ErrCancelled
+				return reply{}, ErrCancelled
 			case "GRANT", "GRANTMANY":
 				if cancelled {
 					// The grant beat the cancel; the caller wanted out, so
 					// hand the locks straight back.
-					c.releaseWon(fields)
-					return nil, ctx.Err()
+					c.releaseWon(r)
+					return reply{}, ctx.Err()
 				}
-				return fields, nil
+				return r, nil
 			}
-			return nil, fmt.Errorf("glsd client: unexpected terminal %q", strings.Join(fields, " "))
+			return reply{}, fmt.Errorf("glsd client: unexpected terminal %q", r)
 		case <-ctxDone:
 			cancelled = true
 			ctxDone = nil // one cancel op, then wait for the terminal reply
-			if _, err := c.roundTrip("cancel", strconv.FormatUint(id, 10)); err != nil {
-				return nil, err
+			if _, err := c.roundTrip("cancel", func(b []byte) []byte { return appendUint(b, id) }); err != nil {
+				return reply{}, err
 			}
 		}
 	}
 }
 
 // releaseWon unlocks a grant that arrived after the caller cancelled.
-func (c *Conn) releaseWon(fields []string) {
-	switch fields[0] {
+func (c *Conn) releaseWon(r reply) {
+	switch r.verb {
 	case "GRANT":
-		if len(fields) == 5 {
-			if key, err := strconv.ParseUint(fields[2], 0, 64); err == nil {
-				_ = c.Unlock(key)
-			}
+		if r.n == 4 {
+			_ = c.Unlock(r.num[1])
 		}
 	case "GRANTMANY":
-		if tokens, err := parseTokenPairs(fields[3:]); err == nil {
+		if tokens, err := grantPairs(r, 2); err == nil {
 			keys := make([]uint64, 0, len(tokens))
 			for k := range tokens {
 				keys = append(keys, k)
@@ -442,11 +545,13 @@ func clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
-// parseTokenPairs decodes alternating key/token fields.
-func parseTokenPairs(fields []string) (map[uint64]uint64, error) {
-	if len(fields)%2 != 0 {
-		return nil, fmt.Errorf("glsd client: odd key/token pair count")
+// grantPairs decodes a batch grant's alternating key/token fields, which
+// follow its first skip fields.
+func grantPairs(r reply, skip int) (map[uint64]uint64, error) {
+	if len(r.fields) < skip || (len(r.fields)-skip)%2 != 0 {
+		return nil, fmt.Errorf("glsd client: bad batch grant %q", r)
 	}
+	fields := r.fields[skip:]
 	tokens := make(map[uint64]uint64, len(fields)/2)
 	for i := 0; i < len(fields); i += 2 {
 		k, e1 := strconv.ParseUint(fields[i], 0, 64)
@@ -465,19 +570,18 @@ func (c *Conn) TryLockMany(ttl time.Duration, keys ...uint64) (map[uint64]uint64
 	if len(keys) == 0 {
 		return map[uint64]uint64{}, nil
 	}
-	req := []string{"trylockmany", fmtMillis(clampTTL(ttl))}
-	for _, k := range keys {
-		req = append(req, fmtKey(k))
-	}
-	fields, err := c.roundTrip(req...)
+	r, err := c.roundTrip("trylockmany", func(b []byte) []byte {
+		return appendKeys(appendMillis(b, clampTTL(ttl)), keys)
+	})
 	if err != nil {
 		return nil, err
 	}
-	switch fields[0] {
+	switch r.verb {
 	case "BUSY":
 		return nil, ErrBusy
 	case "GRANTEDMANY":
-		tokens, perr := parseTokenPairs(fields[2:])
+		// GRANTEDMANY <ttl> <key> <token>...
+		tokens, perr := grantPairs(r, 1)
 		if perr != nil {
 			return nil, perr
 		}
@@ -486,17 +590,17 @@ func (c *Conn) TryLockMany(ttl time.Duration, keys ...uint64) (map[uint64]uint64
 		}
 		return tokens, nil
 	}
-	return nil, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	return nil, fmt.Errorf("glsd client: unexpected reply %q", r)
 }
 
 // Unlock releases a held key.
 func (c *Conn) Unlock(key uint64) error {
-	fields, err := c.roundTrip("unlock", fmtKey(key))
+	r, err := c.roundTrip("unlock", func(b []byte) []byte { return appendKey(b, key) })
 	if err != nil {
 		return err
 	}
-	if fields[0] != "RELEASED" {
-		return fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	if r.verb != "RELEASED" {
+		return fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
 	return nil
 }
@@ -507,43 +611,34 @@ func (c *Conn) UnlockMany(keys ...uint64) (int, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	req := []string{"unlockmany"}
-	for _, k := range keys {
-		req = append(req, fmtKey(k))
-	}
-	fields, err := c.roundTrip(req...)
+	r, err := c.roundTrip("unlockmany", func(b []byte) []byte { return appendKeys(b, keys) })
 	if err != nil {
 		return 0, err
 	}
-	if fields[0] != "RELEASEDMANY" || len(fields) != 2 {
-		return 0, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	if r.verb != "RELEASEDMANY" || r.n != 1 {
+		return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
-	n, perr := strconv.Atoi(fields[1])
-	if perr != nil {
-		return 0, fmt.Errorf("glsd client: bad RELEASEDMANY count")
-	}
-	return n, nil
+	return int(r.num[0]), nil
 }
 
 // Renew extends a held lease and returns its (unchanged) fencing token.
 // ErrExpired means the lease lapsed: the lock is gone, reacquire.
 func (c *Conn) Renew(key uint64, ttl time.Duration) (uint64, error) {
-	req := []string{"renew", fmtKey(key)}
-	if ttl > 0 {
-		req = append(req, fmtMillis(ttl))
-	}
-	fields, err := c.roundTrip(req...)
+	r, err := c.roundTrip("renew", func(b []byte) []byte {
+		b = appendKey(b, key)
+		if ttl > 0 {
+			b = appendMillis(b, ttl)
+		}
+		return b
+	})
 	if err != nil {
 		return 0, err
 	}
-	if fields[0] != "RENEWED" || len(fields) != 4 {
-		return 0, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	// RENEWED <key> <token> <ttl>
+	if r.verb != "RENEWED" || r.n != 3 {
+		return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
-	tok, perr := strconv.ParseUint(fields[2], 10, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("glsd client: bad token in RENEWED reply")
-	}
-	return tok, nil
+	return r.num[1], nil
 }
 
 // Token asks the server for a fencing bound on key — any session's grants,
@@ -553,39 +648,40 @@ func (c *Conn) Renew(key uint64, ttl time.Duration) (uint64, error) {
 // server has reclaimed the key it is the floor of the key's table stripe,
 // which may exceed the key's own last token.
 func (c *Conn) Token(key uint64) (uint64, error) {
-	fields, err := c.roundTrip("token", fmtKey(key))
+	r, err := c.roundTrip("token", func(b []byte) []byte { return appendKey(b, key) })
 	if err != nil {
 		return 0, err
 	}
-	if fields[0] != "TOKEN" || len(fields) != 3 {
-		return 0, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	// TOKEN <key> <token>
+	if r.verb != "TOKEN" || r.n != 2 {
+		return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
-	return strconv.ParseUint(fields[2], 10, 64)
+	return r.num[1], nil
 }
 
 // Ping round-trips a no-op (liveness, latency probes).
 func (c *Conn) Ping() error {
-	fields, err := c.roundTrip("ping")
+	r, err := c.roundTrip("ping", nil)
 	if err != nil {
 		return err
 	}
-	if fields[0] != "PONG" {
-		return fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	if r.verb != "PONG" {
+		return fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
 	return nil
 }
 
 // Stats fetches the server's counters as a name→value map.
 func (c *Conn) Stats() (map[string]uint64, error) {
-	fields, err := c.roundTrip("stats")
+	r, err := c.roundTrip("stats", nil)
 	if err != nil {
 		return nil, err
 	}
-	if fields[0] != "STATS" {
-		return nil, fmt.Errorf("glsd client: unexpected reply %q", strings.Join(fields, " "))
+	if r.verb != "STATS" {
+		return nil, fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
-	out := make(map[string]uint64, len(fields)-1)
-	for _, f := range fields[1:] {
+	out := make(map[string]uint64, len(r.fields))
+	for _, f := range r.fields {
 		name, val, ok := strings.Cut(f, "=")
 		if !ok {
 			continue

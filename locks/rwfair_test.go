@@ -24,23 +24,36 @@ const (
 // continuous writer stream, with the bound (in writer phases) each promises.
 // RWPhaseFair admits a blocked reader at the next phase boundary; a
 // bounded-bypass RWStriped admits it after at most MaxBypass writer phases
-// plus the writer queue it joins. The slack on top covers the measurement
-// window (the phase counter is read before the reader's arrival lands) and
-// scheduling noise — the property under test is "tens, not thousands".
-func fairVariants() []struct {
-	name  string
-	mk    func() RWLock
-	bound uint64
-} {
-	return []struct {
-		name  string
-		mk    func() RWLock
-		bound uint64
-	}{
-		{"rwphasefair", func() RWLock { return NewRWPhaseFair() }, 2 + 12},
+// plus the writer queue it joins. The slack on top covers scheduling noise
+// — the property under test is "tens, not thousands".
+//
+// blocked, where the lock's own state names its waiting readers, reports
+// them from inside a writer's critical section as the half-open range of
+// reader arrival tickets [lo, hi) held back by that phase; the soak then
+// counts each reader's wait from its registered arrival. A variant without
+// it (RWStriped: a waiting reader backs its count out and keeps its bypass
+// snapshot to itself) is measured from the test's phase counter, read
+// before the reader's arrival lands, so a reader descheduled in between
+// is charged the phases it missed.
+func fairVariants() []fairVariant {
+	return []fairVariant{
+		{"rwphasefair", func() RWLock { return NewRWPhaseFair() }, 2 + 12, func(l RWLock) (uint32, uint32) {
+			// In a writer's critical section every reader that arrived
+			// before the announcement has departed (rout caught up), so the
+			// arrivals past rout are exactly the readers it holds back.
+			pf := l.(*RWPhaseFair)
+			return pf.rout.Load() / pfReader, (pf.rin.Load() &^ pfWMask) / pfReader
+		}},
 		{"rwstriped-bounded", func() RWLock { return NewRWStripedBounded(fairSoakMaxBypass) },
-			fairSoakMaxBypass + fairSoakWriters + 12},
+			fairSoakMaxBypass + fairSoakWriters + 12, nil},
 	}
+}
+
+type fairVariant struct {
+	name    string
+	mk      func() RWLock
+	bound   uint64
+	blocked func(RWLock) (lo, hi uint32)
 }
 
 // TestRWBoundedReaderWait is the bounded-reader-wait conformance property:
@@ -55,6 +68,10 @@ func TestRWBoundedReaderWait(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			l := v.mk()
 			var phases atomic.Uint64 // completed writer phases (incremented in CS)
+			// waits[ticket] counts the writer phases that held back the
+			// reader with that arrival ticket (v.blocked only). Written in
+			// writers' critical sections, so l itself guards it.
+			waits := map[uint32]uint64{}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
@@ -69,6 +86,12 @@ func TestRWBoundedReaderWait(t *testing.T) {
 						}
 						l.Lock()
 						phases.Add(1)
+						if v.blocked != nil {
+							lo, hi := v.blocked(l)
+							for r := lo; r != hi; r++ {
+								waits[r]++
+							}
+						}
 						l.Unlock()
 					}
 				}()
@@ -84,7 +107,9 @@ func TestRWBoundedReaderWait(t *testing.T) {
 						l.RLock()
 						crossed := phases.Load() - p0
 						l.RUnlock()
-						xatomic.MaxUint64(&maxCrossed, crossed)
+						if v.blocked == nil {
+							xatomic.MaxUint64(&maxCrossed, crossed)
+						}
 						runtime.Gosched()
 					}
 				}()
@@ -98,6 +123,9 @@ func TestRWBoundedReaderWait(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
+			for _, n := range waits {
+				xatomic.MaxUint64(&maxCrossed, n)
+			}
 			if got := maxCrossed.Load(); got > v.bound {
 				t.Errorf("a reader waited across %d writer phases, bound is %d", got, v.bound)
 			}

@@ -1,16 +1,32 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// referenceParse is the differential oracle for ParseCommand's splitter:
+// the plain strings.Split field split the parser used to run, kept here as
+// the reference behaviour. Any line with an empty field is rejected.
+func referenceParse(line string, maxBatch int) (Command, *ProtoError) {
+	fields := strings.Split(line, " ")
+	for _, f := range fields {
+		if f == "" {
+			return Command{}, protoErrf(ErrCodeCommand, "empty field (single spaces, no leading/trailing space)")
+		}
+	}
+	return parseFields(fields, maxBatch)
+}
 
 // FuzzParseCommand asserts the parser is total: any line either yields a
 // well-formed Command or a ProtoError with a known code — never a panic,
 // never a half-parsed command, never an accepted zero key or oversized
 // batch. The seed corpus (testdata/fuzz/FuzzParseCommand) pins one input
 // per verb plus the historically fiddly shapes: doubled spaces, hex keys,
-// overflow-boundary numbers, and batch-limit edges.
+// overflow-boundary numbers, and batch-limit edges. Every input is also
+// checked against referenceParse: the allocation-free splitter must accept
+// and reject exactly the same lines and yield the same Command or error.
 func FuzzParseCommand(f *testing.F) {
 	seeds := []string{
 		"session",
@@ -51,6 +67,10 @@ func FuzzParseCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		cmd, perr := ParseCommand(line, 0)
+		refCmd, refErr := referenceParse(line, 0)
+		if !reflect.DeepEqual(cmd, refCmd) || !reflect.DeepEqual(perr, refErr) {
+			t.Fatalf("ParseCommand(%q) = %+v, %v; reference split gives %+v, %v", line, cmd, perr, refCmd, refErr)
+		}
 		if perr != nil {
 			if !knownCodes[perr.Code] {
 				t.Fatalf("ParseCommand(%q): unknown error code %q", line, perr.Code)

@@ -200,17 +200,40 @@ const maxDuration = time.Duration(1<<63 - 1)
 // terminator) under the given batch cap. It never panics; any input is
 // either a Command or a *ProtoError. maxBatch <= 0 selects MaxBatchKeys.
 func ParseCommand(line string, maxBatch int) (Command, *ProtoError) {
+	var buf [maxFields]string
+	fields, ok := splitFields(line, buf[:0])
+	if !ok {
+		return Command{}, protoErrf(ErrCodeCommand, "empty field (single spaces, no leading/trailing space)")
+	}
+	return parseFields(fields, maxBatch)
+}
+
+// maxFields is how many fields ParseCommand splits into a stack array; only
+// a batch longer than that grows the split onto the heap.
+const maxFields = 8
+
+// splitFields appends line's single-space-separated fields to dst and
+// reports false if any field is empty: an empty line, or one with a
+// doubled, leading or trailing space (the wire grammar is single-space
+// separated, like memcached's).
+func splitFields(line string, dst []string) ([]string, bool) {
+	for {
+		f, rest, more := strings.Cut(line, " ")
+		if f == "" {
+			return nil, false
+		}
+		dst = append(dst, f)
+		if !more {
+			return dst, true
+		}
+		line = rest
+	}
+}
+
+// parseFields parses a request already split into non-empty fields.
+func parseFields(fields []string, maxBatch int) (Command, *ProtoError) {
 	if maxBatch <= 0 {
 		maxBatch = MaxBatchKeys
-	}
-	fields := strings.Split(line, " ")
-	// strings.Split never yields an empty slice; an empty line or one with
-	// doubled spaces produces empty fields, which are rejected below (the
-	// wire grammar is single-space separated, like memcached's).
-	for _, f := range fields {
-		if f == "" {
-			return Command{}, protoErrf(ErrCodeCommand, "empty field (single spaces, no leading/trailing space)")
-		}
 	}
 	cmd := Command{}
 	verb, args := fields[0], fields[1:]

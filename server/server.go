@@ -23,10 +23,10 @@ import (
 	"net"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"gls"
 )
@@ -137,7 +137,8 @@ type Stats struct {
 	// Waiting is the number of queued or in-flight asynchronous
 	// acquisitions.
 	Waiting int64
-	// Leases is the expiry heap's size, stale hints included.
+	// Leases is the expiry heap's size: one entry per live lease, so it
+	// equals Held whenever no sweep is mid-release.
 	Leases int
 	// Grants counts leases ever granted (every fencing token minted).
 	Grants uint64
@@ -342,11 +343,17 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	sc.Buffer(make([]byte, 0, initial), s.opts.MaxLineBytes)
 	for sc.Scan() {
-		line := strings.TrimSuffix(sc.Text(), "\r")
-		if line == "" {
+		b := sc.Bytes()
+		if n := len(b); n > 0 && b[n-1] == '\r' {
+			b = b[:n-1]
+		}
+		if len(b) == 0 {
 			continue
 		}
-		cmd, perr := ParseCommand(line, s.opts.MaxBatchKeys)
+		// Parse in place: the line aliases the scanner's buffer until the
+		// next Scan, and neither ParseCommand nor dispatch keeps any part
+		// of it (error details are formatted copies).
+		cmd, perr := ParseCommand(unsafe.String(&b[0], len(b)), s.opts.MaxBatchKeys)
 		if perr != nil {
 			ss.writeErr(perr)
 			continue
@@ -371,7 +378,7 @@ func (s *Server) teardown(ss *session) {
 	hadHeld := len(ss.held) > 0
 	for _, g := range ss.held {
 		g.expiry = now
-		s.leases.push(leaseRecord{at: now, sess: ss, key: g.key, token: g.token})
+		s.leases.schedule(g, now)
 	}
 	ss.mu.Unlock()
 	if hadHeld {
@@ -407,16 +414,17 @@ func (s *Server) releaseGrant(g *grant) {
 func (s *Server) dispatch(ss *session, cmd Command) bool {
 	switch cmd.Op {
 	case OpSession:
-		ss.writeLine("SESSION", ss.idString())
+		ss.send(appendUint(ss.reply("SESSION"), ss.id))
 	case OpPing:
 		ss.writeLine("PONG")
 	case OpQuit:
 		ss.writeLine("BYE")
 		return false
 	case OpStats:
-		ss.writeLine(s.statsLine())
+		ss.writeLine("STATS", s.statsLine())
 	case OpToken:
-		ss.writeLine("TOKEN", fmtKey(cmd.Key), strconv.FormatUint(s.keys.current(cmd.Key), 10))
+		tok := s.keys.current(cmd.Key)
+		ss.send(appendUint(appendKey(ss.reply("TOKEN"), cmd.Key), tok))
 	case OpTryLock:
 		s.handleTryLock(ss, cmd)
 	case OpUnlock:
@@ -437,21 +445,17 @@ func (s *Server) dispatch(ss *session, cmd Command) bool {
 	return true
 }
 
-// statsLine renders the stats response: one line of k=v fields.
+// statsLine renders the stats response's k=v fields.
 func (s *Server) statsLine() string {
 	st := s.Stats()
 	return fmt.Sprintf(
-		"STATS sessions=%d held=%d waiting=%d leases=%d grants=%d releases=%d expiries=%d timeouts=%d cancels=%d disconnects=%d overloads=%d",
+		"sessions=%d held=%d waiting=%d leases=%d grants=%d releases=%d expiries=%d timeouts=%d cancels=%d disconnects=%d overloads=%d",
 		st.Sessions, st.Held, st.Waiting, st.Leases, st.Grants, st.Releases,
 		st.Expiries, st.Timeouts, st.Cancels, st.Disconnects, st.Overloads)
 }
 
 // fmtKey renders a key for the wire (hex, like the telemetry reports).
 func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
-
-func fmtMillis(d time.Duration) string {
-	return strconv.FormatInt(d.Milliseconds(), 10)
-}
 
 // holdsAny reports (under ss.mu) a key of keys this session already holds.
 // Re-acquiring a held key would self-deadlock a pool worker until the
@@ -479,7 +483,7 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 	s.keys.ref(cmd.Key)
 	if !s.svc.TryLock(cmd.Key) {
 		s.keys.unref(cmd.Key)
-		ss.writeLine("BUSY", fmtKey(cmd.Key))
+		ss.send(appendKey(ss.reply("BUSY"), cmd.Key))
 		return
 	}
 	g, alive := ss.registerGrant(cmd.Key, ttl)
@@ -492,7 +496,8 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 	}
 	s.grants.Add(1)
 	s.held.Add(1)
-	ss.writeLine("GRANTED", fmtKey(cmd.Key), strconv.FormatUint(g.token, 10), fmtMillis(ttl))
+	b := appendKey(ss.reply("GRANTED"), cmd.Key)
+	ss.send(appendMillis(appendUint(b, g.token), ttl))
 }
 
 // handleUnlock releases a held lease.
@@ -504,7 +509,7 @@ func (s *Server) handleUnlock(ss *session, cmd Command) {
 	}
 	s.releaseGrant(g)
 	s.releases.Add(1)
-	ss.writeLine("RELEASED", fmtKey(cmd.Key))
+	ss.send(appendKey(ss.reply("RELEASED"), cmd.Key))
 }
 
 // handleRenew extends a held lease. The expiry time is authoritative: a
@@ -522,19 +527,19 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 		return
 	}
 	if !now.Before(g.expiry) {
-		delete(ss.held, cmd.Key)
+		ss.dropLocked(g)
 		ss.mu.Unlock()
 		s.releaseGrant(g)
 		s.expiries.Add(1)
 		ss.writeErr(protoErrf(ErrCodeExpired, "lease on %s expired %v ago", fmtKey(cmd.Key), now.Sub(g.expiry).Round(time.Millisecond)))
 		return
 	}
-	g.ttl = ttl
 	g.expiry = now.Add(ttl)
-	s.leases.push(leaseRecord{at: g.expiry, sess: ss, key: cmd.Key, token: g.token})
+	s.leases.schedule(g, g.expiry)
 	tok := g.token
 	ss.mu.Unlock()
-	ss.writeLine("RENEWED", fmtKey(cmd.Key), strconv.FormatUint(tok, 10), fmtMillis(ttl))
+	b := appendKey(ss.reply("RENEWED"), cmd.Key)
+	ss.send(appendMillis(appendUint(b, tok), ttl))
 }
 
 // handleCancel aborts an outstanding wait. Always acknowledged: the race
@@ -547,7 +552,7 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	if w != nil {
 		w.cancel()
 	}
-	ss.writeLine("OK", "cancel", strconv.FormatUint(cmd.ID, 10))
+	ss.send(appendUint(ss.reply("OK cancel"), cmd.ID))
 }
 
 // handleAsync queues a wait or lockmany: register the wait, take the key
@@ -601,7 +606,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	req := &acquireReq{ss: ss, w: w, ctx: ctx, ready: make(chan struct{})}
 	select {
 	case s.acq <- req:
-		ss.writeLine("QUEUED", strconv.FormatUint(cmd.ID, 10))
+		ss.send(appendUint(ss.reply("QUEUED"), cmd.ID))
 		close(req.ready)
 	default:
 		s.waiting.Add(-1)
@@ -660,7 +665,7 @@ func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 	if granted == nil {
 		return // session died; registerMany rolled everything back
 	}
-	ss.writeLine(grantManyLine("GRANTEDMANY", 0, false, ttl, keys, granted))
+	ss.send(appendGrants(ss.reply("GRANTEDMANY"), ttl, keys, granted))
 }
 
 // registerMany records a grant per key of an acquired batch. On a dead
@@ -689,23 +694,13 @@ func (s *Server) registerMany(ss *session, keys []uint64, ttl time.Duration) map
 	return tokens
 }
 
-// grantManyLine renders a batched grant: VERB [id] ttl key token key token...
-func grantManyLine(verb string, id uint64, withID bool, ttl time.Duration, keys []uint64, tokens map[uint64]uint64) string {
-	var b strings.Builder
-	b.WriteString(verb)
-	if withID {
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(id, 10))
-	}
-	b.WriteByte(' ')
-	b.WriteString(fmtMillis(ttl))
+// appendGrants appends a batched grant's fields: ttl key token key token...
+func appendGrants(b []byte, ttl time.Duration, keys []uint64, tokens map[uint64]uint64) []byte {
+	b = appendMillis(b, ttl)
 	for _, k := range keys {
-		b.WriteByte(' ')
-		b.WriteString(fmtKey(k))
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(tokens[k], 10))
+		b = appendUint(appendKey(b, k), tokens[k])
 	}
-	return b.String()
+	return b
 }
 
 // handleUnlockMany releases a batch of held leases. Keys not held by this
@@ -721,7 +716,7 @@ func (s *Server) handleUnlockMany(ss *session, cmd Command) {
 			released++
 		}
 	}
-	ss.writeLine("RELEASEDMANY", strconv.Itoa(released))
+	ss.send(appendUint(ss.reply("RELEASEDMANY"), uint64(released)))
 }
 
 // worker is one acquisition-pool goroutine: it executes queued waits
@@ -756,18 +751,18 @@ func (s *Server) finishWait(ss *session, w *wait) {
 func (s *Server) runWait(req *acquireReq) {
 	ss, w := req.ss, req.w
 	key := w.keys[0]
-	idStr := strconv.FormatUint(w.id, 10)
 	err := s.svc.LockCtx(req.ctx, key)
 	s.finishWait(ss, w)
 	if err != nil {
 		s.keys.unref(key)
+		verb := "CANCELLED"
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.timeouts.Add(1)
-			ss.writeLine("TIMEOUT", idStr)
+			verb = "TIMEOUT"
 		} else {
 			s.cancels.Add(1)
-			ss.writeLine("CANCELLED", idStr)
 		}
+		ss.send(appendUint(ss.reply(verb), w.id))
 		return
 	}
 	g, alive := ss.registerGrant(key, w.ttl)
@@ -781,7 +776,8 @@ func (s *Server) runWait(req *acquireReq) {
 	}
 	s.grants.Add(1)
 	s.held.Add(1)
-	ss.writeLine("GRANT", idStr, fmtKey(key), strconv.FormatUint(g.token, 10), fmtMillis(w.ttl))
+	b := appendKey(appendUint(ss.reply("GRANT"), w.id), key)
+	ss.send(appendMillis(appendUint(b, g.token), w.ttl))
 }
 
 // runLockMany executes one batched asynchronous acquisition via the
@@ -792,7 +788,6 @@ func (s *Server) runWait(req *acquireReq) {
 // rolled straight back.
 func (s *Server) runLockMany(req *acquireReq) {
 	ss, w := req.ss, req.w
-	idStr := strconv.FormatUint(w.id, 10)
 	s.svc.LockMany(w.keys...)
 	// Read the context before finishWait retires it (finishWait cancels).
 	aborted := req.ctx.Err() != nil
@@ -805,7 +800,7 @@ func (s *Server) runLockMany(req *acquireReq) {
 			s.keys.unref(k)
 		}
 		s.cancels.Add(1)
-		ss.writeLine("CANCELLED", idStr)
+		ss.send(appendUint(ss.reply("CANCELLED"), w.id))
 		return
 	}
 	granted := s.registerMany(ss, w.keys, w.ttl)
@@ -813,13 +808,13 @@ func (s *Server) runLockMany(req *acquireReq) {
 		s.cancels.Add(1)
 		return
 	}
-	ss.writeLine(grantManyLine("GRANTMANY", w.id, true, w.ttl, w.keys, granted))
+	ss.send(appendGrants(appendUint(ss.reply("GRANTMANY"), w.id), w.ttl, w.keys, granted))
 }
 
 // sweeper is the lease-expiry loop: a ticker at Options.SweepInterval plus
-// immediate kicks from session teardown. Each pass drains the due heap
-// records and revalidates every one against the owning session before
-// releasing — the heap holds hints, the session holds the truth.
+// immediate kicks from session teardown. Each pass drains the due grants
+// from the heap and revalidates every one against its session before
+// releasing — the session's held map is the authority.
 func (s *Server) sweeper() {
 	defer s.sweepWG.Done()
 	t := time.NewTicker(s.opts.SweepInterval)
@@ -840,30 +835,32 @@ func (s *Server) sweeper() {
 
 // sweepDue releases every lease that is really expired as of now.
 func (s *Server) sweepDue(now time.Time) {
-	for _, rec := range s.leases.due(now) {
-		s.expire(rec, now)
+	for _, g := range s.leases.due(now) {
+		s.expire(g, now)
 	}
 }
 
-// expire revalidates one due lease record and, if the grant it names is
-// still registered with the same token and really past its expiry,
-// releases it: the single-remover delete under the session mutex, then the
-// service unlock, the key unref (which may Free an idle key), and the
-// EXPIRED notice to a still-living client.
-func (s *Server) expire(rec leaseRecord, now time.Time) {
-	ss := rec.sess
+// expire revalidates one due grant and, if it is still registered and
+// really past its expiry, releases it: the single-remover step under the
+// session mutex, then the service unlock, the key unref (which may Free an
+// idle key), and the EXPIRED notice to a still-living client. A grant that
+// was released meanwhile is dropped; one renewed meanwhile was queued again
+// by its renew.
+func (s *Server) expire(g *grant, now time.Time) {
+	ss := g.sess
 	ss.mu.Lock()
-	g := ss.held[rec.key]
-	if g == nil || g.token != rec.token || g.expiry.After(now) {
+	if ss.held[g.key] != g || g.expiry.After(now) {
 		ss.mu.Unlock()
-		return // renewed, already released, or a stale hint
+		return
 	}
-	delete(ss.held, rec.key)
+	// dropLocked also unqueues g if a teardown clamp queued it again after
+	// the pop.
+	ss.dropLocked(g)
 	wasDead := ss.dead
 	ss.mu.Unlock()
 	s.releaseGrant(g)
 	s.expiries.Add(1)
 	if !wasDead {
-		ss.writeLine("EXPIRED", fmtKey(rec.key), strconv.FormatUint(rec.token, 10))
+		ss.send(appendUint(appendKey(ss.reply("EXPIRED"), g.key), g.token))
 	}
 }

@@ -3,8 +3,8 @@ package server
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -24,12 +24,18 @@ import (
 // makes a cross-goroutine Unlock safe (the pool worker that acquired
 // published the grant under the same mutex; see DESIGN.md §14).
 
-// grant is one held lease: the session's record of a granted key.
+// grant is one held lease: the session's record of a granted key, and its
+// own entry in the server's lease heap.
 type grant struct {
+	sess   *session
 	key    uint64
 	token  uint64
-	ttl    time.Duration
-	expiry time.Time
+	expiry time.Time // guarded by sess.mu
+
+	// at (the heap key) and idx (the heap position, -1 while not queued)
+	// are guarded by the lease queue's mutex.
+	at  time.Time
+	idx int
 }
 
 // wait is one outstanding asynchronous acquisition (wait or lockmany).
@@ -47,9 +53,7 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 
-	// wmu serializes response lines: synchronous responses from the reader
-	// goroutine interleave with asynchronous grants from pool workers and
-	// expiry notices from the sweeper, one whole line at a time.
+	// wmu serializes response lines (see reply).
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
@@ -65,20 +69,49 @@ type session struct {
 	cancel context.CancelFunc
 }
 
-// writeLine sends one response line (the arguments are joined by spaces).
-// Errors are swallowed: a session whose connection broke is torn down by
-// its reader goroutine, and every other writer just stops mattering.
-func (ss *session) writeLine(parts ...string) {
+// reply begins a response line with verb, built in place in the free
+// space of the session's writer, and takes wmu; send finishes the line.
+// The append helpers below fill in the fields, so a hot response costs no
+// allocation. Response lines are serialized by wmu: synchronous responses
+// from the reader goroutine interleave with asynchronous grants from pool
+// workers and expiry notices from the sweeper, one whole line at a time.
+func (ss *session) reply(verb string) []byte {
 	ss.wmu.Lock()
-	defer ss.wmu.Unlock()
-	for i, p := range parts {
-		if i > 0 {
-			_ = ss.bw.WriteByte(' ')
-		}
-		_, _ = ss.bw.WriteString(p)
-	}
-	_, _ = ss.bw.WriteString("\r\n")
+	return append(ss.bw.AvailableBuffer(), verb...)
+}
+
+// send terminates and flushes a line begun by reply, releasing wmu. Errors
+// are swallowed: a session whose connection broke is torn down by its
+// reader goroutine, and every other writer just stops mattering.
+func (ss *session) send(b []byte) {
+	_, _ = ss.bw.Write(append(b, "\r\n"...))
 	_ = ss.bw.Flush()
+	ss.wmu.Unlock()
+}
+
+// appendKey appends a space and a key in the wire's hex form.
+func appendKey(b []byte, k uint64) []byte {
+	return strconv.AppendUint(append(b, " 0x"...), k, 16)
+}
+
+// appendUint appends a space and v in decimal.
+func appendUint(b []byte, v uint64) []byte {
+	return strconv.AppendUint(append(b, ' '), v, 10)
+}
+
+// appendMillis appends a space and d in whole milliseconds.
+func appendMillis(b []byte, d time.Duration) []byte {
+	return strconv.AppendInt(append(b, ' '), d.Milliseconds(), 10)
+}
+
+// writeLine sends one response line: verb and the remaining parts, joined
+// by spaces.
+func (ss *session) writeLine(verb string, parts ...string) {
+	b := ss.reply(verb)
+	for _, p := range parts {
+		b = append(append(b, ' '), p...)
+	}
+	ss.send(b)
 }
 
 // writeErr sends an ERR line for a rejected request.
@@ -99,27 +132,36 @@ func (ss *session) registerGrant(key uint64, ttl time.Duration) (*grant, bool) {
 		return nil, false
 	}
 	g := &grant{
+		sess:   ss,
 		key:    key,
 		token:  ss.srv.keys.mint(key),
-		ttl:    ttl,
 		expiry: time.Now().Add(ttl),
+		idx:    -1,
 	}
 	ss.held[key] = g
-	ss.srv.leases.push(leaseRecord{at: g.expiry, sess: ss, key: key, token: g.token})
+	ss.srv.leases.schedule(g, g.expiry)
 	return g, true
 }
 
 // takeGrant removes and returns key's grant if this session holds it —
-// the single-remover step shared by unlock and teardown. The caller owns
+// the single-remover step shared by unlock and unlockmany. It takes the
+// grant out of the held map and the lease heap together; the caller owns
 // the release (Service.Unlock, then unref) on a true return.
 func (ss *session) takeGrant(key uint64) (*grant, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	g, ok := ss.held[key]
 	if ok {
-		delete(ss.held, key)
+		ss.dropLocked(g)
 	}
 	return g, ok
+}
+
+// dropLocked removes g from the held map and the lease heap. ss.mu must be
+// held: it is the single-remover step every release path shares.
+func (ss *session) dropLocked(g *grant) {
+	delete(ss.held, g.key)
+	ss.srv.leases.remove(g)
 }
 
 // sessionSet is the server's session registry.
@@ -179,6 +221,3 @@ func (set *sessionSet) each(fn func(*session)) {
 		fn(ss)
 	}
 }
-
-// idString renders the session id for the wire.
-func (ss *session) idString() string { return fmt.Sprintf("%d", ss.id) }
